@@ -1,6 +1,8 @@
 package columnar
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -233,5 +235,26 @@ func buildBytesColumn(rows []storage.Row, ci int) (column, error) {
 		zt.add(v)
 	}
 	c.z = zt.done()
+	if p := pack(c.blob); p != nil {
+		c.blob, c.packed = nil, p
+	}
 	return c, nil
+}
+
+// pack deflates blob at BestSpeed and returns the result if it is at
+// most half the size, else nil (the blob stays raw).
+func pack(blob []byte) []byte {
+	if len(blob) == 0 {
+		return nil
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(blob)/2 + 64)
+	w, _ := flate.NewWriter(&buf, flate.BestSpeed) // errors only on a bad level
+	if _, err := w.Write(blob); err != nil {
+		return nil
+	}
+	if err := w.Close(); err != nil || buf.Len()*2 > len(blob) {
+		return nil
+	}
+	return bytes.Clone(buf.Bytes())
 }

@@ -54,9 +54,17 @@ func randEvent(rng *rand.Rand, i int) map[string]val.Value {
 		m["flag"] = val.Bool(rng.Intn(2) == 0)
 	}
 	if rng.Intn(8) != 0 {
-		m["blob"] = val.Bytes([]byte{byte(rng.Intn(256)), byte(rng.Intn(256))})
+		m["blob"] = val.Bytes(eventPayload(rng, i))
 	}
 	return m
+}
+
+// eventPayload is an event-shaped blob like a queue's staged payload:
+// repetitive enough that a sealed column of them deflates to under
+// half its size and is stored packed.
+func eventPayload(rng *rand.Rand, i int) []byte {
+	return fmt.Appendf(nil, `{"type":"db.orders.update","id":%d,"sym":%q,"qty":%d,"status":"open"}`,
+		i, testSyms[rng.Intn(len(testSyms))], rng.Intn(1000))
 }
 
 func fillEvents(t *testing.T, db *storage.DB, n int, seed int64) {

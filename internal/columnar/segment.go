@@ -14,7 +14,10 @@
 package columnar
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"io"
 	"math"
 	"time"
 
@@ -161,7 +164,7 @@ type cursor interface {
 //	int, time, bool → I64 (time as Unix nanoseconds, bool as 0/1)
 //	float           → F64
 //	string          → Code (+ Dict, the segment-wide dictionary)
-//	bytes           → Bytes (sub-slices of the segment blob; read-only)
+//	bytes           → Bytes (sub-slices of the cursor's blob; read-only)
 //
 // Null[i] reports row nullness and is always populated.
 type Vector struct {
@@ -450,29 +453,47 @@ func (cur *strCursor) next(dst *Vector, n int) {
 
 // bytesColumn stores variable-length blobs back to back with an
 // offsets array; decoded vectors hand out sub-slices without copying.
+// A blob that deflates to at most half its size is kept packed
+// (packed set, blob nil) and each cursor inflates its own copy:
+// sealed history is mostly at rest, so memory wins over re-decoding.
 type bytesColumn struct {
-	offs  []uint32 // len rows+1
-	blob  []byte
-	nulls []uint64
-	z     Zone
+	offs   []uint32 // len rows+1, offsets into the raw blob
+	blob   []byte
+	packed []byte
+	nulls  []uint64
+	z      Zone
 }
 
 func (c *bytesColumn) kind() val.Kind { return val.KindBytes }
 func (c *bytesColumn) zone() Zone     { return c.z }
-func (c *bytesColumn) memBytes() int  { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
-
-type bytesCursor struct {
-	c   *bytesColumn
-	row int
+func (c *bytesColumn) memBytes() int {
+	return len(c.offs)*4 + len(c.blob) + len(c.packed) + len(c.nulls)*8
 }
 
-func (c *bytesColumn) newCursor() cursor { return &bytesCursor{c: c} }
+type bytesCursor struct {
+	blob []byte
+	c    *bytesColumn
+	row  int
+}
+
+func (c *bytesColumn) newCursor() cursor {
+	blob := c.blob
+	if c.packed != nil {
+		blob = make([]byte, c.offs[len(c.offs)-1])
+		if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(c.packed)), blob); err != nil {
+			// The packed form was produced in memory by buildBytesColumn
+			// and is never written or read back from disk.
+			panic("columnar: packed bytes column does not inflate: " + err.Error())
+		}
+	}
+	return &bytesCursor{blob: blob, c: c}
+}
 
 func (cur *bytesCursor) next(dst *Vector, n int) {
 	nul := dst.Null[:n]
 	for i := 0; i < n; i++ {
 		r := cur.row + i
-		dst.Bytes[i] = cur.c.blob[cur.c.offs[r]:cur.c.offs[r+1]]
+		dst.Bytes[i] = cur.blob[cur.c.offs[r]:cur.c.offs[r+1]]
 		nul[i] = deadBit(cur.c.nulls, r)
 	}
 	cur.row += n

@@ -1,12 +1,14 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
 	"eventdb/internal/columnar"
+	"eventdb/internal/expr"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -39,6 +41,11 @@ func colEvent(rng *rand.Rand, i int) map[string]val.Value {
 	if rng.Intn(8) != 0 {
 		m["flag"] = val.Bool(rng.Intn(2) == 0)
 	}
+	if rng.Intn(8) != 0 {
+		// Event-shaped payloads, so sealed segments store this column
+		// packed and every read of it goes through inflation.
+		m["payload"] = val.Bytes(fmt.Appendf(nil, `{"type":"db.events.insert","id":%d,"note":"staged"}`, i))
+	}
 	return m
 }
 
@@ -59,6 +66,7 @@ func colDB(t *testing.T, sealed, tail int) *storage.DB {
 		{Name: "price", Kind: val.KindFloat},
 		{Name: "qty", Kind: val.KindInt},
 		{Name: "flag", Kind: val.KindBool},
+		{Name: "payload", Kind: val.KindBytes},
 	}, "id")
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +184,7 @@ func colQueries() map[string]func() *Query {
 		"where-arith":    func() *Query { return New("events").Where("price * 2 > 100") },
 		"project":        func() *Query { return New("events").Select("id", "sym", "price") },
 		"project-where":  func() *Query { return New("events").Select("id", "qty").Where("qty > 0") },
+		"project-bytes":  func() *Query { return New("events").Select("id", "payload").Where("payload IS NOT NULL") },
 		"order-limit":    func() *Query { return New("events").OrderBy("id", Desc).Limit(17).Offset(3) },
 		"count-star":     func() *Query { return New("events").Agg("n", Count, "") },
 		"count-col":      func() *Query { return New("events").Agg("n", Count, "price") },
@@ -325,4 +334,43 @@ func TestColumnarSealMidTransaction(t *testing.T) {
 		t.Fatalf("columnar rows = %d, want 151", len(col.Rows))
 	}
 	resultEqual(t, "seal-mid-txn", col, row)
+}
+
+// TestPlanGuardKeyedAccess pins the shared access path on a keyed
+// table with sealed history: primary-key equality (whatever its
+// residual conjuncts or their order) is a point lookup, while a range
+// over the key, an OR, and a non-key equality stay scans that the
+// columnar store serves, as history queries rely on. Every plan
+// returns what a row scan returns (NOT NOT hides the conjuncts from
+// the planner without changing the predicate's value).
+func TestPlanGuardKeyedAccess(t *testing.T) {
+	db := colDB(t, 900, 60)
+	for _, tc := range []struct{ where, access string }{
+		{"id >= 100 AND id < 200", "columnar"},
+		{"id BETWEEN 100 AND 199", "columnar"},
+		{"id = 5 OR qty > 3", "columnar"},
+		{"sym = 'ACME'", "columnar"},
+		{"id = 5", "pk-eq"},
+		{"id = 5.0", "pk-eq"},
+		{"id = 5.5", "pk-eq"},
+		{"qty > 3 AND id = 7", "pk-eq"},
+		{"id = 950", "pk-eq"},
+	} {
+		got, plan, err := New("events").Where(tc.where).Explain(db)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		if plan.Access != tc.access {
+			t.Errorf("%s: plan %q, want %q", tc.where, plan.Access, tc.access)
+		}
+		want, err := New("events").Where("NOT (NOT (" + tc.where + "))").NoColumnar().Run(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultEqual(t, tc.where, got, want)
+	}
+	tbl, _ := db.Table("events")
+	if _, plan := Access(tbl, expr.MustCompile("id >= 100 AND id < 200")); plan.Access != "scan" {
+		t.Errorf("Access on a key range = %q, want scan", plan.Access)
+	}
 }

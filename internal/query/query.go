@@ -195,7 +195,7 @@ func (r *Result) Get(i int, col string) (val.Value, bool) {
 // Plan describes how Run will execute, for tests and EXPLAIN-style
 // diagnostics.
 type Plan struct {
-	Access    string // "scan", "columnar", "index-eq", "index-range"
+	Access    string // "scan", "columnar", "pk-eq", "index-eq", "index-range"
 	IndexName string
 	Joined    bool
 	// Columnar scans only: segments considered and how many of those
@@ -242,10 +242,10 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 		selects = append(selects, item)
 	}
 
-	// Access path: prefer an equality index, then a range index. A
-	// plain scan defers materialization — it may be served from the
+	// A plain scan defers materialization — it may be served from the
 	// columnar store below.
-	ids, rows, plan := q.access(tbl, pred)
+	ids, plan := Access(tbl, pred)
+	var rows []storage.Row
 
 	var rightTbl *storage.Table
 	var rightRows map[string][]storage.Row
@@ -441,15 +441,27 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 	return out, plan, nil
 }
 
-// access picks the cheapest access path for the base table given the
-// predicate's indexable conjuncts.
-func (q *Query) access(tbl *storage.Table, pred *expr.Predicate) ([]storage.RowID, []storage.Row, Plan) {
+// Access picks the cheapest access path to the rows of tbl that may
+// satisfy pred and returns their IDs with the plan. It is the one
+// planner behind both SELECT and the UPDATE/DELETE verbs. Paths, in
+// order of preference: equality on a single-column primary key (at
+// most one row), an equality index, an ordered-index range. The
+// primary key serves equality only, so a range over it plans as a
+// scan, which SELECT may serve from the columnar store. A scan returns
+// nil IDs and leaves reading the table to the caller. Candidates are a
+// superset: callers recheck each one against the whole predicate.
+func Access(tbl *storage.Table, pred *expr.Predicate) ([]storage.RowID, Plan) {
 	if pred != nil {
+		for _, eq := range pred.EqPreds {
+			if ids, ok := tbl.LookupPK(eq.Field, eq.Value); ok {
+				return ids, Plan{Access: "pk-eq"}
+			}
+		}
 		for _, eq := range pred.EqPreds {
 			if name := tbl.IndexOn(eq.Field, false); name != "" {
 				ids, err := tbl.LookupEq(name, eq.Value)
 				if err == nil {
-					return ids, nil, Plan{Access: "index-eq", IndexName: name}
+					return ids, Plan{Access: "index-eq", IndexName: name}
 				}
 			}
 		}
@@ -466,14 +478,12 @@ func (q *Query) access(tbl *storage.Table, pred *expr.Predicate) ([]storage.RowI
 				}
 				ids, err := tbl.LookupRange(name, lo, hi, rp.LoOpen, rp.HiOpen)
 				if err == nil {
-					return ids, nil, Plan{Access: "index-range", IndexName: name}
+					return ids, Plan{Access: "index-range", IndexName: name}
 				}
 			}
 		}
 	}
-	// Scans are left unmaterialized; run() decides between the
-	// columnar store and tbl.ScanRows.
-	return nil, nil, Plan{Access: "scan"}
+	return nil, Plan{Access: "scan"}
 }
 
 // parseSelect parses "expr" or "expr AS alias".

@@ -665,6 +665,12 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 		unlock()
 		return nil, err
 	}
+	if len(changes) == 0 {
+		// Every op was conditional and no row still matched: nothing
+		// to log, apply or deliver.
+		unlock()
+		return &CommitInfo{}, nil
+	}
 
 	// BEFORE hooks may veto or rewrite New rows.
 	db.hookMu.RLock()
@@ -810,64 +816,75 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			}
 			nextIDs[op.table] = id + 1
 			changes = append(changes, Change{Table: op.table, Kind: Insert, ID: id, New: row})
-		case Update:
-			old, ok := t.rows[op.id]
-			if !ok {
-				return nil, fmt.Errorf("storage: table %q: update of missing row %d", s.Name, op.id)
-			}
-			row := make(Row, len(old))
-			copy(row, old)
-			for name, v := range op.set {
-				ci := s.ColIndex(name)
-				if ci < 0 {
-					return nil, fmt.Errorf("storage: table %q: unknown column %q", s.Name, name)
-				}
-				row[ci] = v
-			}
-			row, err := s.validateRow(row)
-			if err != nil {
-				return nil, err
-			}
-			if t.pk != nil {
-				newKey := s.pkKey(row)
-				if newKey != s.pkKey(old) {
-					if _, dup := t.pk[newKey]; dup {
-						return nil, fmt.Errorf("storage: table %q: update causes duplicate primary key", s.Name)
+		case Update, Delete:
+			for _, id := range op.ids {
+				old, ok := t.rows[id]
+				switch {
+				case !ok && op.match == nil:
+					return nil, fmt.Errorf("storage: table %q: %s of missing row %d", s.Name, op.kind, id)
+				case !ok:
+					continue
+				case op.match != nil:
+					hit, err := op.match(old)
+					if err != nil {
+						return nil, err
 					}
-					if !claim(op.table, "", newKey) {
-						return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
+					if !hit {
+						continue
 					}
 				}
-			}
-			for _, ix := range t.indexes {
-				if !ix.Unique {
+				if op.kind == Delete {
+					if t.pk != nil {
+						key := s.pkKey(old)
+						if freedPK[op.table] == nil {
+							freedPK[op.table] = map[string]bool{}
+						}
+						freedPK[op.table][key] = true
+					}
+					changes = append(changes, Change{Table: op.table, Kind: Delete, ID: id, Old: old})
 					continue
 				}
-				key := ix.keyFor(row)
-				if key == ix.keyFor(old) {
-					continue
+				row := make(Row, len(old))
+				copy(row, old)
+				for name, v := range op.set {
+					ci := s.ColIndex(name)
+					if ci < 0 {
+						return nil, fmt.Errorf("storage: table %q: unknown column %q", s.Name, name)
+					}
+					row[ci] = v
 				}
-				if err := ix.checkUnique(key, op.id); err != nil {
+				row, err := s.validateRow(row)
+				if err != nil {
 					return nil, err
 				}
-				if !claim(op.table, ix.Name, key) {
-					return nil, fmt.Errorf("storage: unique index %q violated within transaction", ix.Name)
+				if t.pk != nil {
+					newKey := s.pkKey(row)
+					if newKey != s.pkKey(old) {
+						if _, dup := t.pk[newKey]; dup {
+							return nil, fmt.Errorf("storage: table %q: update causes duplicate primary key", s.Name)
+						}
+						if !claim(op.table, "", newKey) {
+							return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
+						}
+					}
 				}
-			}
-			changes = append(changes, Change{Table: op.table, Kind: Update, ID: op.id, Old: old, New: row})
-		case Delete:
-			old, ok := t.rows[op.id]
-			if !ok {
-				return nil, fmt.Errorf("storage: table %q: delete of missing row %d", s.Name, op.id)
-			}
-			if t.pk != nil {
-				key := s.pkKey(old)
-				if freedPK[op.table] == nil {
-					freedPK[op.table] = map[string]bool{}
+				for _, ix := range t.indexes {
+					if !ix.Unique {
+						continue
+					}
+					key := ix.keyFor(row)
+					if key == ix.keyFor(old) {
+						continue
+					}
+					if err := ix.checkUnique(key, id); err != nil {
+						return nil, err
+					}
+					if !claim(op.table, ix.Name, key) {
+						return nil, fmt.Errorf("storage: unique index %q violated within transaction", ix.Name)
+					}
 				}
-				freedPK[op.table][key] = true
+				changes = append(changes, Change{Table: op.table, Kind: Update, ID: id, Old: old, New: row})
 			}
-			changes = append(changes, Change{Table: op.table, Kind: Delete, ID: op.id, Old: old})
 		default:
 			return nil, fmt.Errorf("storage: unknown op kind %d", op.kind)
 		}

@@ -548,3 +548,70 @@ func TestTablesListing(t *testing.T) {
 		t.Error("duplicate table accepted")
 	}
 }
+
+// TestMatchingOps pins the conditional update/delete behind the wire's
+// UPDATE and DELETE: match runs on the committed row at commit, rows
+// that are gone or no longer match are skipped and absent from the
+// changes, a commit that skips everything logs and delivers nothing,
+// and a match error aborts the whole transaction.
+func TestMatchingOps(t *testing.T) {
+	db := openVolatile(t)
+	if err := db.CreateTable(tradesSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	var ids []RowID
+	for i := 1; i <= 4; i++ {
+		id, err := db.Insert("trades", vmap("id", i, "sym", "ACME", "price", 1.0, "qty", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	delivered := 0
+	db.OnCommit(func(*CommitInfo) { delivered++ })
+	tbl, _ := db.Table("trades")
+	qtyAbove := func(n int64) func(Row) (bool, error) {
+		return func(r Row) (bool, error) {
+			q, _ := r[3].AsInt()
+			return q > n, nil
+		}
+	}
+
+	// Row 4 is deleted after the candidates were chosen: skipped, not
+	// an error.
+	if err := db.DeleteRow("trades", ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin()
+	txn.UpdateMatching("trades", ids, vmap("note", "hi"), qtyAbove(1))
+	info, err := txn.Commit()
+	if err != nil || len(info.Changes) != 2 {
+		t.Fatalf("update: %+v, %v; want 2 changes (rows 2 and 3)", info, err)
+	}
+	for _, c := range info.Changes {
+		if c.ID == ids[0] {
+			t.Fatal("row 1 does not match and must not change")
+		}
+	}
+
+	// Nothing matches: an empty commit with no sequence number and no
+	// hook delivery.
+	before := delivered
+	txn = db.Begin()
+	txn.DeleteMatching("trades", ids, qtyAbove(100))
+	info, err = txn.Commit()
+	if err != nil || len(info.Changes) != 0 || info.Seq != 0 || delivered != before {
+		t.Fatalf("no-match delete: %+v, %v, %d deliveries", info, err, delivered-before)
+	}
+
+	// A match error aborts everything.
+	txn = db.Begin()
+	txn.DeleteMatching("trades", ids, qtyAbove(0))
+	txn.DeleteMatching("trades", ids, func(Row) (bool, error) { return false, fmt.Errorf("boom") })
+	if _, err := txn.Commit(); err == nil || err.Error() != "boom" {
+		t.Fatalf("match error: %v", err)
+	}
+	if tbl.Len() != 3 {
+		t.Fatalf("aborted commit changed the table: %d rows", tbl.Len())
+	}
+}

@@ -123,6 +123,35 @@ func (t *Table) LookupEq(indexName string, vals ...val.Value) ([]RowID, error) {
 	return ix.lookupEq(probe), nil
 }
 
+// LookupPK is an equality lookup on a single-column NOT NULL primary
+// key: it returns the ID of the row whose key equals v, normalized like
+// LookupEq (so 5.0 finds int key 5 and 5.5 finds nothing). ok is false
+// when col is not such a key or v is NULL. Those are the cases where
+// "col = v" can be NULL rather than false on other rows, so a scan
+// would go on to evaluate the rest of a predicate on them.
+func (t *Table) LookupPK(col string, v val.Value) (ids []RowID, ok bool) {
+	s := t.schema
+	if len(s.pkCols) != 1 || v.IsNull() {
+		return nil, false
+	}
+	c := s.Columns[s.pkCols[0]]
+	if c.Name != col || !c.NotNull {
+		return nil, false
+	}
+	nv, exact := normalizeProbe(c.Kind, v)
+	if !exact {
+		return nil, true
+	}
+	key := string(val.AppendKey(nil, nv))
+	t.mu.RLock()
+	id, found := t.pk[key]
+	t.mu.RUnlock()
+	if !found {
+		return nil, true
+	}
+	return []RowID{id}, true
+}
+
 // LookupRange uses a single-column ordered index for a range scan.
 // Nil bounds are unbounded; open flags make bounds strict. Numeric
 // bounds are normalized to the column kind (10.5 over an int column

@@ -10,9 +10,12 @@ import (
 type txnOp struct {
 	kind  ChangeKind
 	table string
-	id    RowID                // update/delete target
+	ids   []RowID              // update/delete targets
 	row   Row                  // insert payload
 	set   map[string]val.Value // update payload
+	// match, when set, makes an update/delete conditional: see
+	// UpdateMatching. Without it every target must exist.
+	match func(Row) (bool, error)
 }
 
 // Txn buffers mutations and applies them atomically on Commit.
@@ -68,7 +71,7 @@ func (t *Txn) Update(table string, id RowID, set map[string]val.Value) error {
 	for k, v := range set {
 		cp[k] = v
 	}
-	t.ops = append(t.ops, txnOp{kind: Update, table: table, id: id, set: cp})
+	t.ops = append(t.ops, txnOp{kind: Update, table: table, ids: []RowID{id}, set: cp})
 	return nil
 }
 
@@ -77,7 +80,36 @@ func (t *Txn) Delete(table string, id RowID) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	t.ops = append(t.ops, txnOp{kind: Delete, table: table, id: id})
+	t.ops = append(t.ops, txnOp{kind: Delete, table: table, ids: []RowID{id}})
+	return nil
+}
+
+// UpdateMatching buffers an update, with the same set values, of each
+// row in ids that still exists and still satisfies match at commit.
+// match runs under the table's write lock, so the test and the write
+// are one atomic step: rows deleted or changed by a concurrent commit
+// are skipped rather than failing or being overwritten, and are absent
+// from the commit's changes. A match error aborts the commit.
+func (t *Txn) UpdateMatching(table string, ids []RowID, set map[string]val.Value, match func(Row) (bool, error)) error {
+	if t.done {
+		return ErrTxnDone
+	}
+	cp := make(map[string]val.Value, len(set))
+	for k, v := range set {
+		cp[k] = v
+	}
+	t.ops = append(t.ops, txnOp{kind: Update, table: table, ids: ids, set: cp, match: match})
+	return nil
+}
+
+// DeleteMatching buffers the deletion of each row in ids that still
+// exists and still satisfies match at commit, with UpdateMatching's
+// semantics.
+func (t *Txn) DeleteMatching(table string, ids []RowID, match func(Row) (bool, error)) error {
+	if t.done {
+		return ErrTxnDone
+	}
+	t.ops = append(t.ops, txnOp{kind: Delete, table: table, ids: ids, match: match})
 	return nil
 }
 

@@ -370,94 +370,83 @@ func InsertRow(db *storage.DB, table string, values map[string]any) (storage.Row
 	return db.Insert(table, vals)
 }
 
-// matchIDs collects the IDs of rows satisfying a where predicate (all
-// rows when the predicate is empty).
-func matchIDs(tbl *storage.Table, where string) ([]storage.RowID, error) {
-	var pred *expr.Predicate
-	if where != "" {
-		p, err := expr.Compile(where)
-		if err != nil {
-			return nil, fmt.Errorf("%w: where: %v", ErrSpec, err)
-		}
-		pred = p
+// target is the row set a DML statement's where clause names: the
+// candidate rows the shared access path reaches, and the predicate
+// every candidate is rechecked against at commit.
+type target struct {
+	tbl   *storage.Table
+	pred  *expr.Predicate // nil matches every row
+	ids   []storage.RowID
+	plan  query.Plan
+	evals int // rows the predicate was evaluated on
+}
+
+// match is the commit-time recheck; storage runs it under the table's
+// write lock, so it sees the row the change is applied to.
+func (tg *target) match(r storage.Row) (bool, error) {
+	tg.evals++
+	if tg.pred == nil {
+		return true, nil
 	}
-	schema := tbl.Schema()
-	var ids []storage.RowID
-	var matchErr error
-	tbl.Scan(func(id storage.RowID, r storage.Row) bool {
-		if pred != nil {
-			ok, err := pred.Match(storage.RowResolver{Schema: schema, Row: r})
-			if err != nil {
-				matchErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	return ids, matchErr
+	return tg.pred.Match(storage.RowResolver{Schema: tg.tbl.Schema(), Row: r})
 }
 
 // UpdateWhere updates every row matching the predicate in one atomic
-// transaction, returning how many rows changed. BEFORE triggers may
-// veto the whole transaction; AFTER triggers fire per change.
+// transaction, returning how many rows changed. A row that a
+// concurrent commit deleted or changed so that it no longer matches is
+// left alone and not counted. BEFORE triggers may veto the whole
+// transaction; AFTER triggers fire per change.
 func UpdateWhere(db *storage.DB, table, where string, set map[string]any) (int, error) {
-	tbl, ok := db.Table(table)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, table)
-	}
-	vals, err := Values(tbl.Schema(), set)
-	if err != nil {
-		return 0, err
-	}
-	ids, err := matchIDs(tbl, where)
-	if err != nil {
-		return 0, err
-	}
-	if len(ids) == 0 {
-		return 0, nil
-	}
-	txn := db.Begin()
-	for _, id := range ids {
-		if err := txn.Update(table, id, vals); err != nil {
-			txn.Rollback()
-			return 0, err
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		return 0, err
-	}
-	return len(ids), nil
+	n, _, err := execWhere(db, table, where, set, false)
+	return n, err
 }
 
 // DeleteWhere deletes every row matching the predicate in one atomic
-// transaction, returning how many rows were removed.
+// transaction, returning how many rows were removed, with UpdateWhere's
+// handling of concurrently changed rows.
 func DeleteWhere(db *storage.DB, table, where string) (int, error) {
+	n, _, err := execWhere(db, table, where, nil, true)
+	return n, err
+}
+
+// execWhere runs an UPDATE (set) or a DELETE (del) over the rows where
+// names, returning the rows changed and the target it planned.
+func execWhere(db *storage.DB, table, where string, set map[string]any, del bool) (int, *target, error) {
 	tbl, ok := db.Table(table)
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, table)
+		return 0, nil, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
-	ids, err := matchIDs(tbl, where)
+	vals, err := Values(tbl.Schema(), set)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if len(ids) == 0 {
-		return 0, nil
-	}
-	txn := db.Begin()
-	for _, id := range ids {
-		if err := txn.Delete(table, id); err != nil {
-			txn.Rollback()
-			return 0, err
+	tg := &target{tbl: tbl}
+	if where != "" {
+		if tg.pred, err = expr.Compile(where); err != nil {
+			return 0, nil, fmt.Errorf("%w: where: %v", ErrSpec, err)
 		}
 	}
-	if _, err := txn.Commit(); err != nil {
-		return 0, err
+	tg.ids, tg.plan = query.Access(tbl, tg.pred)
+	if tg.plan.Access == "scan" {
+		tg.ids, _ = tbl.ScanRows()
 	}
-	return len(ids), nil
+	if len(tg.ids) == 0 {
+		return 0, tg, nil
+	}
+	txn := db.Begin()
+	if del {
+		err = txn.DeleteMatching(table, tg.ids, tg.match)
+	} else {
+		err = txn.UpdateMatching(table, tg.ids, vals, tg.match)
+	}
+	if err != nil {
+		return 0, tg, err
+	}
+	info, err := txn.Commit()
+	if err != nil {
+		return 0, tg, err
+	}
+	return len(info.Changes), tg, nil
 }
 
 // --- results ------------------------------------------------------------
